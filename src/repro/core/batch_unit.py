@@ -34,7 +34,7 @@ from pyspark.sql import functions as F
 from repro.core.edge_reduction import eval_kleene_free
 from repro.core.rtc import RTC
 from repro.core.timing import PhaseTimings
-from repro.graph.iterate import materialize, release
+from repro.graph.iterate import materialize
 from repro.graph.model import LabeledGraph, identity_pairs
 from repro.rpq.ast import Epsilon, Regex
 
@@ -125,10 +125,7 @@ def eval_batch_unit_rtc(
             .select("start_v", "end_v")
             .repartition("start_v")
         )
-    out = _apply_star_and_post(graph, res_eq9, pre_g, kind, post, timings)
-    if out is not res_eq9:
-        release(res_eq9)
-    return out
+    return _apply_star_and_post(graph, res_eq9, pre_g, kind, post, timings)
 
 
 def eval_batch_unit_full(
@@ -159,8 +156,4 @@ def eval_batch_unit_full(
                 .distinct()
             )
         joined = materialize(joined)
-    out = _apply_star_and_post(graph, joined, pre_g, kind, post, timings)
-    if out is not joined and pre_g is not None:
-        # pre_g is None shares the cached r_plus as ``joined`` — keep it.
-        release(joined)
-    return out
+    return _apply_star_and_post(graph, joined, pre_g, kind, post, timings)

@@ -4,10 +4,12 @@ The edge set of ``G_R`` *is* the RPQ result ``R_G`` (Section III-A), so
 edge-level reduction is "evaluate R and treat each result pair as an
 unlabeled edge". Two evaluators are provided:
 
-- ``eval_kleene_free`` — the relational path: DNF the (closure-free)
-  expression into label sequences and evaluate each as a chain of joins
-  over the per-label edge relations (Lemma 4 applied repeatedly). This
-  is what ``Pre_G``/``R_G``/``Post_G`` use in all three methods, and it
+- ``eval_kleene_free`` — the relational path: a closure-free expression
+  is evaluated compositionally over the per-label edge relations (a
+  label is an edge scan, a concatenation a join chain per Lemma 4, a
+  union a union), so its plan grows with the expression, never with
+  the number of label sequences it denotes. This is what
+  ``Pre_G``/``R_G``/``Post_G`` use in all three methods, and it
   supports *restricted* evaluation from seed vertices
   (EvalRestrictedRPQ in Algorithm 2).
 - ``eval_rpq_automaton`` — the general Yakovets-style [5] traversal for
@@ -18,14 +20,16 @@ unlabeled edge". Two evaluators are provided:
 """
 from __future__ import annotations
 
+from functools import reduce
+
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.iterate import FixpointGuard, materialize, release
+from repro.graph.closure import semi_naive
+from repro.graph.iterate import materialize
 from repro.graph.model import LabeledGraph, empty_pairs, identity_pairs
-from repro.rpq.ast import Regex
+from repro.rpq.ast import Concat, Epsilon, Label, Regex, Union
 from repro.rpq.automaton import build_nfa
-from repro.rpq.dnf import label_sequences
 
 
 def _union_all(parts: list[DataFrame], empty: DataFrame) -> DataFrame:
@@ -37,10 +41,49 @@ def _union_all(parts: list[DataFrame], empty: DataFrame) -> DataFrame:
     return out
 
 
+def _pairs(
+    graph: LabeledGraph, node: Regex, seeds: DataFrame | None
+) -> DataFrame:
+    """``(start_v, end_v)`` pairs of ``node``, not always distinct."""
+    if isinstance(node, Epsilon):
+        return identity_pairs(seeds if seeds is not None else graph.vertices)
+    if isinstance(node, Label):
+        out = graph.edges_for_label(node.name).select(
+            F.col("src").alias("start_v"), F.col("dst").alias("end_v")
+        )
+        if seeds is not None:
+            out = out.join(
+                seeds.withColumnRenamed("v", "start_v"),
+                "start_v",
+                "left_semi",
+            )
+        return out
+    if isinstance(node, Union):
+        return reduce(
+            DataFrame.union, (_pairs(graph, p, seeds) for p in node.parts)
+        ).distinct()
+    if isinstance(node, Concat):
+        # Seeds restrict the first factor only; later factors are joined
+        # on their start vertex, which already bounds them.
+        out = _pairs(graph, node.parts[0], seeds).distinct()
+        for part in node.parts[1:]:
+            nxt = _pairs(graph, part, None).select(
+                F.col("start_v").alias("end_v"),
+                F.col("end_v").alias("next_v"),
+            )
+            out = (
+                out.join(nxt, "end_v")
+                .select("start_v", F.col("next_v").alias("end_v"))
+                .distinct()
+            )
+        return out
+    raise ValueError(f"{node.canon()} contains a Kleene closure")
+
+
 def eval_kleene_free(
     graph: LabeledGraph, regex: Regex, seeds: DataFrame | None = None
 ) -> DataFrame:
-    """Evaluate a closure-free RPQ as label-join chains.
+    """Evaluate a closure-free RPQ as a composition of label joins.
 
     Returns distinct ``(start_v, end_v)`` pairs. ``seeds`` (a ``(v)``
     DataFrame) restricts start vertices — the restricted evaluation used
@@ -48,35 +91,7 @@ def eval_kleene_free(
     explored. For the ε expression the result is the identity relation
     over ``seeds`` (or over all of V).
     """
-    spark = graph.spark
-    results: list[DataFrame] = []
-    for seq in label_sequences(regex):
-        if not seq:
-            base = seeds if seeds is not None else graph.vertices
-            results.append(identity_pairs(base))
-            continue
-        cur = graph.edges_for_label(seq[0]).select(
-            F.col("src").alias("start_v"), F.col("dst").alias("end_v")
-        )
-        if seeds is not None:
-            cur = cur.join(
-                seeds.withColumnRenamed("v", "start_v"),
-                "start_v",
-                "left_semi",
-            )
-        cur = cur.distinct()
-        for label in seq[1:]:
-            nxt = graph.edges_for_label(label).select(
-                F.col("src").alias("end_v"), F.col("dst").alias("next_v")
-            )
-            cur = (
-                cur.join(nxt, "end_v")
-                .select("start_v", F.col("next_v").alias("end_v"))
-                .distinct()
-            )
-        results.append(cur)
-    out = _union_all(results, empty_pairs(spark)).distinct()
-    return materialize(out)
+    return materialize(_pairs(graph, regex, seeds).distinct())
 
 
 def eval_rpq_automaton(
@@ -101,21 +116,18 @@ def eval_rpq_automaton(
         trans = spark.createDataFrame(
             list(nfa.transitions), "q int, label string, q2 int"
         )
-        frontier = materialize(
+        seed = materialize(
             start_vs.select(
                 F.col("v").alias("start_v"),
                 F.col("v").alias("cur_v"),
                 F.lit(nfa.start).alias("q"),
             )
         )
-        visited = frontier
-        guard = FixpointGuard("automaton traversal")
-        while not frontier.isEmpty():
-            guard.tick()
-            stepped = (
-                frontier.join(
-                    graph.edges.withColumnRenamed("src", "cur_v"), "cur_v"
-                )
+        out_edges = graph.edges.withColumnRenamed("src", "cur_v")
+
+        def step(frontier: DataFrame) -> DataFrame:
+            return (
+                frontier.join(out_edges, "cur_v")
                 .join(trans, ["q", "label"])
                 .select(
                     "start_v",
@@ -124,14 +136,10 @@ def eval_rpq_automaton(
                 )
                 .distinct()
             )
-            prev_frontier, prev_visited = frontier, visited
-            frontier = materialize(
-                stepped.join(
-                    visited, ["start_v", "cur_v", "q"], "left_anti"
-                )
-            )
-            visited = materialize(visited.union(frontier))
-            release(prev_frontier, prev_visited)
+
+        visited = semi_naive(
+            seed, step, ["start_v", "cur_v", "q"], "automaton traversal"
+        )
         accept_set = visited.filter(
             F.col("q").isin(list(nfa.accepts))
         ).select("start_v", F.col("cur_v").alias("end_v"))

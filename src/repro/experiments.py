@@ -77,10 +77,6 @@ def run_method(
     # evaluate(); counting afterwards does not pollute the timings.
     rows = sum(df.count() for df in dfs)
     shared_size = ev.shared_data_size()
-    # Free the checkpointed result blocks so successive method runs are
-    # not skewed by block-manager memory pressure from earlier ones.
-    for df in dfs:
-        df.unpersist()
     n = len(queries)
     return MethodRun(
         method=method,

@@ -1,4 +1,4 @@
-"""Fixpoint-iteration utilities for semi-naive DataFrame loops.
+"""Fixpoint-iteration utilities for DataFrame loops.
 
 Iterative graph algorithms (SCC coloring, transitive closure, automaton
 traversal) re-join a delta DataFrame against a static edge relation
@@ -9,12 +9,16 @@ Spark:
   lineage each round (otherwise the plan grows exponentially and the
   optimizer/stack dies after ~20 rounds) and forces computation, which
   also gives honest phase timings.
-- ``FixpointGuard``: a hard iteration cap that raises instead of
-  spinning forever if an algorithm bug breaks monotonicity.
+- ``FixpointGuard``: a hard round cap (``MAX_ROUNDS``) that raises
+  instead of spinning forever if an algorithm bug breaks monotonicity.
+
+The semi-naive loop itself is ``repro.graph.closure.semi_naive``.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
+
+MAX_ROUNDS = 10_000
 
 
 def materialize(df: DataFrame) -> DataFrame:
@@ -22,35 +26,17 @@ def materialize(df: DataFrame) -> DataFrame:
     return df.localCheckpoint(eager=True)
 
 
-def release(*dfs: DataFrame) -> None:
-    """Drop the cached blocks of materialized DataFrames.
-
-    Only call on DataFrames that are provably never used again: their
-    lineage was truncated by ``localCheckpoint``, so once unpersisted
-    they cannot be recomputed. Iterative algorithms call this on the
-    previous round's delta/accumulator after the next round is
-    materialized — without it every round's blocks pile up in the block
-    manager for the whole query and distort later phases.
-    """
-    for df in dfs:
-        try:
-            df.unpersist()
-        except Exception:
-            pass  # best-effort: releasing cache is an optimization only
-
-
 class FixpointGuard:
-    """Raises after ``max_iter`` rounds; tracks rounds for diagnostics."""
+    """Raises after ``MAX_ROUNDS`` rounds; tracks rounds for diagnostics."""
 
-    def __init__(self, what: str, max_iter: int = 10_000):
+    def __init__(self, what: str):
         self.what = what
-        self.max_iter = max_iter
         self.rounds = 0
 
     def tick(self) -> None:
         self.rounds += 1
-        if self.rounds > self.max_iter:
+        if self.rounds > MAX_ROUNDS:
             raise RuntimeError(
-                f"{self.what}: no fixpoint after {self.max_iter} rounds "
+                f"{self.what}: no fixpoint after {MAX_ROUNDS} rounds "
                 "(non-monotone iteration?)"
             )

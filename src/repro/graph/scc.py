@@ -25,7 +25,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.iterate import FixpointGuard, materialize, release
+from repro.graph.closure import semi_naive
+from repro.graph.iterate import FixpointGuard, materialize
 
 
 def _vertices_of(edges: DataFrame) -> DataFrame:
@@ -57,15 +58,31 @@ def _min_color_fixpoint(edges: DataFrame, vertices: DataFrame) -> DataFrame:
         msgs = edges.join(
             colors.withColumnRenamed("v", "src"), "src"
         ).select(F.col("dst").alias("v"), F.col("c"))
-        prev_colors = colors
         colors = materialize(
             colors.union(msgs).groupBy("v").agg(F.min("c").alias("c"))
         )
-        release(prev_colors)
         cur_sum = colors.agg(F.sum("c")).collect()[0][0]
         if cur_sum == prev_sum:
             return colors
         prev_sum = cur_sum
+
+
+def _backward_collect(colored: DataFrame, roots: DataFrame) -> DataFrame:
+    """``(v, c)`` for every v that reaches root c over colour-c edges."""
+
+    def step(frontier: DataFrame) -> DataFrame:
+        return (
+            colored.join(
+                frontier.select(F.col("v").alias("dst"), F.col("c")),
+                ["dst", "c"],
+            )
+            .select(F.col("src").alias("v"), F.col("c"))
+            .distinct()
+        )
+
+    return semi_naive(
+        materialize(roots), step, ["v", "c"], "scc backward collect"
+    )
 
 
 def strongly_connected_components(
@@ -130,43 +147,18 @@ def strongly_connected_components(
             .select("src", "dst", F.col("c_src").alias("c"))
         )
         roots = colors.filter(F.col("c") == F.col("v")).select("v", "c")
-        reached = materialize(roots)
-        frontier = reached
-        guard = FixpointGuard("scc backward collect")
-        while not frontier.isEmpty():
-            guard.tick()
-            nxt = (
-                colored.join(
-                    frontier.select(
-                        F.col("v").alias("dst"), F.col("c")
-                    ),
-                    ["dst", "c"],
-                )
-                .select(F.col("src").alias("v"), F.col("c"))
-                .distinct()
-                .join(reached, ["v", "c"], "left_anti")
-            )
-            prev_frontier, prev_reached = frontier, reached
-            frontier = materialize(nxt)
-            reached = materialize(reached.union(frontier))
-            release(prev_frontier, prev_reached)
-
+        reached = _backward_collect(colored, roots)
         assignments.append(
             materialize(reached.select("v", F.col("c").alias("s")))
         )
-        prev_remaining, prev_work = remaining, work
         remaining = materialize(
             remaining.join(reached.select("v"), "v", "left_anti")
         )
         work = materialize(_restrict(work, remaining))
-        release(prev_remaining, prev_work, colors, colored, reached)
 
     if not assignments:
         return spark.createDataFrame([], "v long, s long")
     out = assignments[0]
     for a in assignments[1:]:
         out = out.union(a)
-    out = materialize(out)
-    release(*assignments)
-    release(remaining, work)
-    return out
+    return materialize(out)

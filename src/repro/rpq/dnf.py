@@ -111,20 +111,3 @@ def clause_to_regex(clause: Clause) -> Regex:
         return EPSILON
     return concat(*clause)
 
-
-def label_sequences(node: Regex) -> list[tuple[str, ...]]:
-    """All label sequences of a closure-free regex (its finite language).
-
-    Used by the join-chain evaluator for ``Pre_G``/``Post_G``/``R_G``
-    when the expression has no closure. Raises if a closure is present.
-    """
-    if node.has_closure():
-        raise ValueError(f"{node.canon()} contains a Kleene closure")
-    seqs: list[tuple[str, ...]] = []
-    seen: set[tuple[str, ...]] = set()
-    for cl in to_dnf(node):
-        seq = tuple(a.name for a in cl)  # type: ignore[union-attr]
-        if seq not in seen:
-            seen.add(seq)
-            seqs.append(seq)
-    return seqs

@@ -9,7 +9,9 @@ import random
 import pandas as pd
 import pytest
 
+from repro.graph import iterate
 from repro.graph.closure import transitive_closure
+from repro.graph.iterate import FixpointGuard
 from repro.oracle import assert_equivalent
 from repro.pyref import transitive_closure_python
 
@@ -47,6 +49,20 @@ class TestSmall:
 
     def test_self_loop(self, spark):
         assert rows(tc_spark(spark, [(4, 4)])) == {(4, 4)}
+
+    def test_no_edges_zero_rounds(self, spark, monkeypatch):
+        ticks = []
+        monkeypatch.setattr(FixpointGuard, "tick", lambda g: ticks.append(g))
+        got = tc_spark(spark, [])
+        assert got.columns == ["src", "dst"]
+        assert rows(got) == set()
+        assert ticks == []
+
+    def test_guard_stops_at_max_rounds(self, spark, monkeypatch):
+        # A 4-chain needs two rounds to reach (1, 4).
+        monkeypatch.setattr(iterate, "MAX_ROUNDS", 1)
+        with pytest.raises(RuntimeError, match="transitive closure"):
+            tc_spark(spark, [(1, 2), (2, 3), (3, 4)])
 
     def test_duplicate_edges_collapse(self, spark):
         assert rows(tc_spark(spark, [(1, 2), (1, 2)])) == {(1, 2)}

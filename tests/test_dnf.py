@@ -5,12 +5,7 @@ import pytest
 
 from repro.rpq.ast import Epsilon, Label, Plus, Star
 from repro.rpq.automaton import build_nfa
-from repro.rpq.dnf import (
-    clause_to_regex,
-    decompose_clause,
-    label_sequences,
-    to_dnf,
-)
+from repro.rpq.dnf import clause_to_regex, decompose_clause, to_dnf
 from repro.rpq.parser import parse
 
 
@@ -97,26 +92,6 @@ class TestDecompose:
         assert bu.r.canon() == "(a.(b)+.c)"
         assert bu.kind == "+"
         assert isinstance(bu.post, Epsilon)
-
-
-class TestLabelSequences:
-    @pytest.mark.parametrize(
-        "text,seqs",
-        [
-            ("a", [("a",)]),
-            ("a.b", [("a", "b")]),
-            ("a|b", [("a",), ("b",)]),
-            ("(a|b).c", [("a", "c"), ("b", "c")]),
-            ("eps", [()]),
-            ("eps|a.b", [(), ("a", "b")]),
-        ],
-    )
-    def test_sequences(self, text, seqs):
-        assert label_sequences(parse(text)) == seqs
-
-    def test_rejects_closure(self):
-        with pytest.raises(ValueError):
-            label_sequences(parse("a+"))
 
 
 class TestClauseToRegex:

@@ -24,10 +24,38 @@ class TestKleeneFree:
         got = rows(eval_kleene_free(paper_graph, parse("b.c")))
         assert got == {(2, 4), (2, 6), (3, 5), (4, 2), (5, 3)}
 
-    @pytest.mark.parametrize("text", ["b", "c", "b.c", "d.b", "b.c|d", "e"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "b",
+            "c",
+            "b.c",
+            "d.b",
+            "b.c|d",
+            "e",
+            "b|c",
+            "(b|c).e",
+            "eps",
+            "eps|b.c",
+            # 3^8 = 6561 label sequences, but one 8-join chain.
+            ".".join(["(b|c|d)"] * 8),
+        ],
+    )
     def test_vs_pyref(self, paper_graph, text):
         got = rows(eval_kleene_free(paper_graph, parse(text)))
         assert got == eval_rpq_python(PAPER_EDGES, parse(text))
+
+    @pytest.mark.parametrize("text", ["(eps|b).c", "(b|c).(c|e)"])
+    def test_seeded_vs_pyref(self, spark, paper_graph, text):
+        seeds = spark.createDataFrame(
+            pd.DataFrame({"v": [1, 2, 5, 9]}), "v long"
+        )
+        got = rows(eval_kleene_free(paper_graph, parse(text), seeds=seeds))
+        assert got == {
+            p
+            for p in eval_rpq_python(PAPER_EDGES, parse(text))
+            if p[0] in {1, 2, 5, 9}
+        }
 
     def test_vs_duckdb_oracle(self, paper_graph):
         got = eval_kleene_free(paper_graph, parse("b.c"))
@@ -75,6 +103,7 @@ AUTOMATON_QUERIES = [
     "(b|c)+",
     "d.(b.c)+ | e",
     "e.d",
+    "zzz+",
 ]
 
 
